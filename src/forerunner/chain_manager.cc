@@ -11,10 +11,10 @@ ChainManager::ChainManager(Mpt* trie, SharedStateCache* shared_cache,
       trie_(trie),
       shared_cache_(shared_cache),
       versioned_(versioned),
-      commit_pool_(options.commit_workers) {}
+      fold_pool_(options.commit_workers) {}
 
 ChainManager::~ChainManager() {
-  // An in-flight async commit still touches state_ from the commit pool's
+  // An in-flight async commit still touches state_ from the root lane's
   // thread; resolve it before the members are torn down.
   if (pending_root_.valid()) {
     pending_root_.Wait();
@@ -28,7 +28,7 @@ void ChainManager::ReopenState() {
   }
   shared_cache_->Reset(head_root_);
   state_ = std::make_unique<StateDb>(trie_, head_root_, shared_cache_, versioned_,
-                                     &commit_pool_);
+                                     &fold_pool_, &root_lane_);
   if (versioned_ != nullptr) {
     static Gauge* view_active = MetricsRegistry::Global().GetGauge("state.view_active");
     view_active->Set(state_->view().valid() ? 1.0 : 0.0);

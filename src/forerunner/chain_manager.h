@@ -11,7 +11,7 @@
 // Threading: owned by the node's coordinator thread; speculation workers read
 // old roots through the persistent trie (or their own pinned snapshot
 // handles) and never touch this object. Under chain.root_async the commit's
-// trie folds run on the commit pool's async thread between CommitState() and
+// trie folds run on the root lane's thread between CommitState() and
 // SealRoot(); the manager guarantees the state view is never retired or
 // destroyed with a commit in flight.
 #ifndef SRC_FORERUNNER_CHAIN_MANAGER_H_
@@ -22,9 +22,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/lane_pool.h"
 #include "src/dice/block.h"
 #include "src/forerunner/spec_manager.h"
-#include "src/state/commit_pool.h"
 #include "src/state/statedb.h"
 #include "src/state/versioned_state.h"
 
@@ -36,7 +36,7 @@ struct ChainManagerOptions {
   // depth >= 1, so the default deepens the pre-decomposition single-depth
   // support without changing its behaviour.
   size_t max_reorg_depth = 4;
-  // Worker threads for StateDb::Commit's parallel storage-subtrie folds.
+  // Modeled lanes for StateDb::Commit's parallel storage-subtrie folds.
   // 1 (the default) runs the folds inline on the coordinator in the exact
   // serial operation order; any count produces bit-identical roots.
   size_t commit_workers = 1;
@@ -47,7 +47,7 @@ struct ChainManagerOptions {
   // commit roots — the serial-default guarantee mirrors commit_workers.
   size_t block_workers = 1;
   // Off-critical-path root authentication: CommitState() returns after
-  // capturing the block's dirty set, the trie folds run on the commit pool's
+  // capturing the block's dirty set, the trie folds run on the root lane's
   // background thread, and SealRoot() awaits the authenticated root at
   // block-seal time. Default off => bit-identical behavior and timing to the
   // synchronous pipeline. Requires a versioned store (silently synchronous
@@ -109,7 +109,7 @@ class ChainManager {
   bool CanRollback() const { return !undo_.empty(); }
   size_t reorg_window() const { return undo_.size(); }
   size_t max_reorg_depth() const { return options_.max_reorg_depth; }
-  size_t commit_workers() const { return commit_pool_.workers(); }
+  size_t commit_workers() const { return fold_pool_.lanes(); }
   bool root_async() const { return options_.root_async; }
   uint64_t rollbacks() const { return rollbacks_; }
   // Whether the live state view reads through a pinned snapshot handle (false
@@ -156,8 +156,11 @@ class ChainManager {
   Mpt* trie_;
   SharedStateCache* shared_cache_;
   VersionedState* versioned_;
-  // The pool outlives the per-block StateDb instances that borrow it.
-  CommitPool commit_pool_;
+  // The fold pool and the root lane outlive the per-block StateDb instances
+  // that borrow them; the lane is declared last so it retires first (a
+  // pending async commit may still run a fold batch).
+  LanePool fold_pool_;
+  AsyncLane root_lane_;
   std::unique_ptr<StateDb> state_;
   StateDbStats retired_state_stats_;  // stats of already-replaced state views
   Hash head_root_;

@@ -1,7 +1,6 @@
 #include "src/forerunner/node.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -18,8 +17,7 @@ size_t ResolveSpecWorkers(const NodeOptions& options) {
   if (options.spec_workers != 0) {
     return options.spec_workers;
   }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
+  return HardwareThreads();
 }
 
 KvStore::Options ResolveStoreOptions(const NodeOptions& options) {
@@ -52,9 +50,7 @@ Node::Node(const NodeOptions& options, const std::function<void(StateDb*)>& gene
       parallel_exec_(options.chain.block_workers > 1
                          ? std::make_unique<ParallelBlockExecutor>(
                                &trie_, &shared_cache_, versioned_.get(),
-                               ParallelExecOptions{options.chain.block_workers,
-                                                   /*physical_threads=*/0,
-                                                   /*max_rounds=*/0})
+                               ParallelExecOptions{options.chain.block_workers})
                          : nullptr),
       mempool_(options.mempool),
       spec_(options.spec),
@@ -306,7 +302,7 @@ BlockExecReport Node::ExecuteBlock(const Block& block, double sim_time) {
   {
     // Under chain.root_async this span covers only the critical-path half of
     // the commit (dirty-set capture + dispatch); the trie folds run on the
-    // commit pool's background thread and are awaited by SealRoot below.
+    // root lane's background thread and are awaited by SealRoot below.
     TraceSpan commit_span(collector, "block", "block.commit", commit_wall);
     chain_.CommitState();
   }

@@ -58,7 +58,7 @@ struct BlockExecReport {
 // prefetcher, with handle-swap reorgs to any retained height.
 struct StateOptions {
   // Off by default: the store-off node is the configuration every bench was
-  // validated against, and bench_flat_state gates that enabling it changes
+  // validated against, and bench_versioned_state gates that enabling it changes
   // no state root and no execution outcome — only where reads are served.
   bool versioned = false;
   // Versions retained above the folded base. 0 derives the retention from the

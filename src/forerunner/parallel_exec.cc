@@ -1,8 +1,5 @@
 #include "src/forerunner/parallel_exec.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "src/common/clock.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
@@ -11,10 +8,18 @@
 
 namespace frn {
 
+namespace {
+
+// Rounds beyond the 2n convergence bound before the safety valve trips (see
+// parallel_exec.h).
+constexpr size_t kRoundSlack = 4;
+
+}  // namespace
+
 // One transaction's latest execution attempt. Distinct attempts are touched
 // by at most one thread per round (disjoint indices), and the round barrier
-// (thread join) publishes them to the coordinator's validation pass, so the
-// struct carries no lock.
+// (the end of the LanePool batch) publishes them to the coordinator's
+// validation pass, so the struct carries no lock.
 struct ParallelBlockExecutor::Attempt {
   std::vector<BlockStmReadDesc> reads;
   TxWriteSet writes;
@@ -31,13 +36,10 @@ struct ParallelBlockExecutor::Attempt {
 ParallelBlockExecutor::ParallelBlockExecutor(Mpt* trie, SharedStateCache* shared_cache,
                                              VersionedState* versioned,
                                              const ParallelExecOptions& options)
-    : trie_(trie), shared_cache_(shared_cache), versioned_(versioned), options_(options) {
-  options_.workers = std::max<size_t>(1, options_.workers);
-  unsigned hw = std::thread::hardware_concurrency();
-  const size_t hw_cap = hw == 0 ? 1 : static_cast<size_t>(hw);
-  physical_ = options_.physical_threads != 0 ? options_.physical_threads
-                                             : std::min(options_.workers, hw_cap);
-}
+    : trie_(trie),
+      shared_cache_(shared_cache),
+      versioned_(versioned),
+      pool_(options.workers, options.physical_threads) {}
 
 void ParallelBlockExecutor::RunAttempt(const Hash& root, const BlockContext& header,
                                        const Transaction& tx, const TxSpeculation* spec,
@@ -97,7 +99,7 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
   TraceCollector* collector = &TraceCollector::Global();
   TraceSpan span(collector, "block", "block.parallel", parallel_wall);
   span.AddArg(TraceArg::U64("txs", n));
-  span.AddArg(TraceArg::U64("workers", options_.workers));
+  span.AddArg(TraceArg::U64("workers", pool_.lanes()));
 
   MvMemory mv;
   std::vector<Attempt> attempts(n);
@@ -106,7 +108,7 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
   for (size_t i = 0; i < n; ++i) {
     pending[i] = i;
   }
-  const size_t max_rounds = options_.max_rounds != 0 ? options_.max_rounds : 2 * n + 4;
+  const size_t max_rounds = 2 * n + kRoundSlack;
   size_t committed = 0;
 
   while (committed < n) {
@@ -123,39 +125,24 @@ bool ParallelBlockExecutor::ExecuteBlock(const Hash& root, const BlockContext& h
     // prefix. Lane striping is by position in `pending` — deterministic, and
     // decoupled from the physical thread count.
     Stopwatch exec_watch;
-    auto run_stripe = [&](size_t stripe, size_t stride) {
-      for (size_t j = stripe; j < pending.size(); j += stride) {
-        const size_t i = pending[j];
-        RunAttempt(root, header, txs[i], specs[i], strategy, mv, i, &attempts[i]);
-      }
-    };
-    const size_t threads = std::min(physical_, pending.size());
-    if (threads <= 1) {
-      run_stripe(0, 1);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        pool.emplace_back(run_stripe, t, threads);
-      }
-      for (std::thread& t : pool) {
-        t.join();
-      }
-    }
+    pool_.Run(pending.size(), [&](size_t j, size_t) {
+      const size_t i = pending[j];
+      RunAttempt(root, header, txs[i], specs[i], strategy, mv, i, &attempts[i]);
+    });
     stats->exec_real_seconds += exec_watch.ElapsedSeconds();
-    std::vector<double> lane_cost(options_.workers, 0.0);
+    std::vector<double> costs(pending.size());
     bool fee_balance_observed = false;
     for (size_t j = 0; j < pending.size(); ++j) {
-      const double cost = attempts[pending[j]].cost_seconds;
-      stats->exec_serial_seconds += cost;
-      lane_cost[j % options_.workers] += cost;
+      const Attempt& attempt = attempts[pending[j]];
+      costs[j] = attempt.cost_seconds;
+      stats->exec_serial_seconds += attempt.cost_seconds;
       ++stats->executions;
-      if (attempts[pending[j]].attempts > 1) {
+      if (attempt.attempts > 1) {
         ++stats->reexecutions;
       }
-      fee_balance_observed |= attempts[pending[j]].fee_balance_observed;
+      fee_balance_observed |= attempt.fee_balance_observed;
     }
-    stats->exec_wall_seconds += *std::max_element(lane_cost.begin(), lane_cost.end());
+    stats->exec_wall_seconds += LaneWall(costs, pool_.lanes());
     if (fee_balance_observed) {
       // Some attempt observed the fee-account balance: the exemption served a
       // pre-block value that lower-indexed fee credits may contradict. An

@@ -21,22 +21,24 @@
 // The lowest uncommitted transaction always commits within two rounds (its
 // re-execution runs against a buffer its validation then sees unchanged), so
 // the block converges in at most 2n rounds; the executor falls back to
-// serial — ExecuteBlock returns false — if a safety bound is ever hit, or
-// when the fee account itself sends a transaction (the commutative-fee
-// exemption would be unsound; see block_stm.h).
+// serial — ExecuteBlock returns false — if the 2n+4 safety bound is ever
+// hit, or when the fee account itself sends a transaction (the
+// commutative-fee exemption would be unsound; see block_stm.h).
 //
-// Cost model: the host may have fewer cores than requested workers, so —
-// like the SpecPool and the commit pool — `workers` is the number of modeled
-// lanes: per round, attempts stripe over lanes in order and the modeled wall
-// is the slowest lane's sum of per-attempt costs (thread CPU plus deferred
-// cold-read store latency). Physical threads are capped at hardware
-// concurrency and affect only real wall time, never results or modeled cost.
+// Cost model: each round's execute phase is one LanePool batch
+// (src/common/lane_pool.h), the same executor and lane model the speculation
+// pool and the commit folds use. `workers` is the number of modeled lanes:
+// attempts stripe over lanes in order and the round's modeled wall is the
+// LaneWall of the per-attempt costs (thread CPU plus deferred cold-read
+// store latency). Physical threads affect only real wall time, never results
+// or modeled cost.
 #ifndef SRC_FORERUNNER_PARALLEL_EXEC_H_
 #define SRC_FORERUNNER_PARALLEL_EXEC_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/common/lane_pool.h"
 #include "src/forerunner/accelerator.h"
 #include "src/forerunner/speculator.h"
 #include "src/state/block_stm.h"
@@ -48,11 +50,9 @@ struct ParallelExecOptions {
   // Modeled execution lanes. 1 is never constructed by the node (it runs the
   // bit-for-bit serial loop instead); the executor itself accepts it.
   size_t workers = 2;
-  // Physical thread cap. 0 = min(workers, hardware concurrency). Tests force
-  // >1 to exercise real cross-thread interleavings under TSan.
+  // LanePool physical-thread override (0 = capped at hardware concurrency).
+  // Tests force >1 to exercise real cross-thread interleavings under TSan.
   size_t physical_threads = 0;
-  // Safety bound on rounds; 0 derives 2*txs+4 (see file comment).
-  size_t max_rounds = 0;
 };
 
 // Per-transaction result of a converged block: the final attempt's outcome
@@ -96,7 +96,7 @@ class ParallelBlockExecutor {
                     ExecStrategy strategy, std::vector<ParallelTxResult>* results,
                     ParallelBlockStats* stats);
 
-  size_t workers() const { return options_.workers; }
+  size_t workers() const { return pool_.lanes(); }
 
  private:
   struct Attempt;
@@ -108,8 +108,7 @@ class ParallelBlockExecutor {
   Mpt* trie_;
   SharedStateCache* shared_cache_;
   VersionedState* versioned_;
-  ParallelExecOptions options_;
-  size_t physical_;
+  LanePool pool_;  // one batch per round's execute phase
 };
 
 }  // namespace frn

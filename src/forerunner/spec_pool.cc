@@ -1,54 +1,18 @@
 #include "src/forerunner/spec_pool.h"
 
-#include <algorithm>
-
 #include "src/common/clock.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 
 namespace frn {
 
-namespace {
-
-size_t ResolvePhysical(size_t workers, size_t physical_threads) {
-  if (physical_threads != 0) {
-    return std::min(workers, physical_threads);
-  }
-  size_t hw = std::thread::hardware_concurrency();
-  return std::max<size_t>(1, std::min(workers, hw == 0 ? 1 : hw));
-}
-
-}  // namespace
-
 SpecPool::SpecPool(Mpt* trie, const Speculator::Options& options, size_t workers,
                    size_t physical_threads, VersionedState* versioned)
-    : trie_(trie),
-      options_(options),
-      versioned_(versioned),
-      workers_(std::max<size_t>(1, workers)),
-      physical_(ResolvePhysical(workers_, physical_threads)),
-      worker_stats_(workers_) {
-  if (physical_ == 1) {
-    return;  // inline mode: the coordinator thread is the only executor
-  }
-  threads_.reserve(physical_);
-  for (size_t t = 0; t < physical_; ++t) {
-    threads_.emplace_back([this, t] { WorkerLoop(t); });
-  }
-}
+    : pool_(workers, physical_threads),
+      speculators_(pool_.physical_threads(), Speculator(trie, options, versioned)),
+      worker_stats_(pool_.lanes()) {}
 
-SpecPool::~SpecPool() {
-  {
-    MutexLock lock(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.NotifyAll();
-  for (std::thread& t : threads_) {
-    t.join();
-  }
-}
-
-void SpecPool::ExecuteJob(Speculator* speculator, SpecJob& job, SpecJobResult& result,
+void SpecPool::ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobResult& result,
                           size_t job_index) {
   static SecondsCounter* job_wall = MetricsRegistry::Global().GetSeconds("spec.job_wall_seconds");
   static Counter* jobs_counter = MetricsRegistry::Global().GetCounter("spec.jobs");
@@ -71,7 +35,7 @@ void SpecPool::ExecuteJob(Speculator* speculator, SpecJob& job, SpecJobResult& r
     for (const FutureContext& future : job.futures) {
       SpecFutureOutcome outcome;
       outcome.synthesized =
-          speculator->SpeculateFuture(job.root, job.tx, future, &result.spec);
+          speculator.SpeculateFuture(job.root, job.tx, future, &result.spec);
       if (outcome.synthesized) {
         outcome.stats = result.spec.last_stats;
       }
@@ -85,7 +49,7 @@ void SpecPool::ExecuteJob(Speculator* speculator, SpecJob& job, SpecJobResult& r
   modeled_busy->Add(result.exec_seconds);
   job_hist->Record(result.exec_seconds);
   span.AddArg(TraceArg::U64("tx", job.tx.id));
-  span.AddArg(TraceArg::U64("lane", job_index % workers_));
+  span.AddArg(TraceArg::U64("lane", job_index % pool_.lanes()));
   span.AddArg(TraceArg::U64("futures", result.outcomes.size()));
   span.AddArg(TraceArg::F64("modeled_exec_s", result.exec_seconds));
   span.AddArg(TraceArg::U64("cold_reads", result.io.cold_reads));
@@ -98,44 +62,27 @@ std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
     return results;
   }
 
-  if (physical_ == 1) {
-    // Inline path: identical operation order to the pre-pool pipeline. No
-    // executor threads exist, so the batch never routes through the guarded
-    // handoff members at all — the vectors stay coordinator-private locals.
-    Speculator speculator(trie_, options_, versioned_);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      ExecuteJob(&speculator, jobs[j], results[j], j);
-    }
-  } else {
-    MutexLock lock(mutex_);
-    jobs_ = &jobs;
-    results_ = &results;
-    done_jobs_ = 0;
-    ++batch_seq_;
-    work_cv_.NotifyAll();
-    while (done_jobs_ != jobs.size()) {
-      done_cv_.Wait(mutex_);
-    }
-    // Retire the batch while still holding the mutex: an executor whose
-    // stripe was empty may wake from the batch-start notify only now, and its
-    // wait predicate reads these pointers under the lock — clearing them
-    // unlocked would race (and a stale non-null pointer would dangle into
-    // this frame's locals).
-    jobs_ = nullptr;
-    results_ = nullptr;
-  }
+  pool_.Run(jobs.size(), [&](size_t j, size_t thread) {
+    ExecuteJob(speculators_[thread], jobs[j], results[j], j);
+  });
 
   // Lane accounting on the coordinator: deterministic round-robin assignment
-  // of jobs to modeled lanes, independent of which executor thread ran what.
-  std::vector<double> lane_busy(workers_, 0.0);
+  // of jobs to modeled lanes, independent of which pool thread ran what.
+  const size_t lanes = pool_.lanes();
+  std::vector<double> costs(results.size());
   for (size_t j = 0; j < results.size(); ++j) {
-    size_t lane = j % workers_;
+    costs[j] = results[j].exec_seconds;
+  }
+  std::vector<double> queue_offsets;
+  last_batch_wall_seconds_ = LaneWall(costs, lanes, &queue_offsets);
+  double wait_sum = 0;
+  for (size_t j = 0; j < results.size(); ++j) {
     SpecJobResult& result = results[j];
-    result.worker = lane;
-    result.queue_seconds = lane_busy[lane];
-    lane_busy[lane] += result.exec_seconds;
+    result.worker = j % lanes;
+    result.queue_seconds = queue_offsets[j];
+    wait_sum += result.queue_seconds;
 
-    SpecWorkerStats& stats = worker_stats_[lane];
+    SpecWorkerStats& stats = worker_stats_[result.worker];
     ++stats.jobs;
     stats.futures += result.outcomes.size();
     stats.busy_seconds += result.exec_seconds;
@@ -143,64 +90,15 @@ std::vector<SpecJobResult> SpecPool::RunBatch(std::vector<SpecJob> jobs) {
     stats.store_reads += result.io.reads;
     stats.store_cold_reads += result.io.cold_reads;
   }
-  last_batch_wall_seconds_ = *std::max_element(lane_busy.begin(), lane_busy.end());
   static SecondsCounter* batch_wall =
       MetricsRegistry::Global().GetSeconds("spec.batch_wall_seconds");
   static SecondsCounter* queue_wait =
       MetricsRegistry::Global().GetSeconds("spec.queue_wait_seconds");
   static Gauge* lane_occupancy = MetricsRegistry::Global().GetGauge("spec.max_lane_occupancy");
   batch_wall->Add(last_batch_wall_seconds_);
-  double wait_sum = 0;
-  for (const SpecJobResult& result : results) {
-    wait_sum += result.queue_seconds;
-  }
   queue_wait->Add(wait_sum);
-  lane_occupancy->SetMax(
-      static_cast<double>((results.size() + workers_ - 1) / workers_));
+  lane_occupancy->SetMax(static_cast<double>((results.size() + lanes - 1) / lanes));
   return results;
-}
-
-void SpecPool::WorkerLoop(size_t thread_index) {
-  // Each executor owns its Speculator: no mutable state is shared between
-  // executors, only the (reader-safe) trie/store underneath.
-  Speculator speculator(trie_, options_, versioned_);
-  size_t seen_batch = 0;
-  for (;;) {
-    // The batch vectors are copied out of the guarded members under the lock;
-    // job execution then runs unlocked against disjoint slots (static stripe,
-    // no claim counter), with the done_jobs_ barrier publishing the results
-    // back to the coordinator.
-    std::vector<SpecJob>* jobs = nullptr;
-    std::vector<SpecJobResult>* results = nullptr;
-    size_t n_jobs = 0;
-    {
-      MutexLock lock(mutex_);
-      // Waking requires a *live* batch: an executor whose stripe was empty
-      // can observe the next sequence number only once jobs_ is installed
-      // again (the coordinator may have retired a small batch without ever
-      // needing this executor to wake).
-      while (!shutdown_ && !(batch_seq_ != seen_batch && jobs_ != nullptr)) {
-        work_cv_.Wait(mutex_);
-      }
-      if (shutdown_) {
-        return;
-      }
-      seen_batch = batch_seq_;
-      jobs = jobs_;
-      results = results_;
-      n_jobs = jobs->size();
-    }
-    size_t done = 0;
-    for (size_t j = thread_index; j < n_jobs; j += physical_) {
-      ExecuteJob(&speculator, (*jobs)[j], (*results)[j], j);
-      ++done;
-    }
-    MutexLock lock(mutex_);
-    done_jobs_ += done;
-    if (done_jobs_ == n_jobs) {
-      done_cv_.NotifyOne();
-    }
-  }
 }
 
 }  // namespace frn

@@ -1,26 +1,17 @@
 // The parallel speculation engine (paper §4, "free" speculation on idle
-// cores): a persistent pool of worker threads that fans pending-pool futures
-// out across N workers, each pre-executing against a read-only snapshot of
-// the head state. The coordinator submits one job per predicted transaction,
-// blocks until the batch drains, and merges results back in submission order,
-// so every derived statistic is identical for any worker count.
-//
-// Two thread counts are deliberately distinct:
-//  - `workers` is the MODELED lane count: jobs are assigned to lanes
-//    round-robin by index, and the modeled wall time of a batch is the max
-//    over lanes of their summed job costs — the paper's claim that
-//    speculation is off the critical path as long as cores are available.
-//  - the PHYSICAL executor threads are capped at the host's hardware
-//    concurrency (never oversubscribe), so per-job cost measurements — thread
-//    CPU time plus deferred cold-read latency — stay clean even when the
-//    modeled lane count exceeds the machine's cores.
+// cores): fans pending-pool futures out across the modeled lanes of a
+// LanePool (src/common/lane_pool.h), each job pre-executing against a
+// read-only snapshot of the head state. The coordinator submits one job per
+// predicted transaction, blocks until the batch drains, and merges results
+// back in submission order, so every derived statistic is identical for any
+// worker count. `workers` is the modeled lane count; the pool's physical
+// threads are capped at the host's cores (see lane_pool.h).
 #ifndef SRC_FORERUNNER_SPEC_POOL_H_
 #define SRC_FORERUNNER_SPEC_POOL_H_
 
-#include <thread>
 #include <vector>
 
-#include "src/common/sync.h"
+#include "src/common/lane_pool.h"
 #include "src/forerunner/speculator.h"
 
 namespace frn {
@@ -59,65 +50,42 @@ struct SpecJobResult {
 
 class SpecPool {
  public:
-  // `workers` >= 1 modeled lanes. `physical_threads` = 0 spawns
-  // min(workers, hardware concurrency) executor threads; a nonzero value
-  // overrides that cap (tests use this to force real concurrency). With one
-  // physical thread no threads are spawned and RunBatch executes jobs inline
-  // in submission order — the original single-threaded pipeline's exact
-  // operation order (job costs use the same modeled CPU + deferred-latency
-  // accounting as the threaded path). `versioned` (may be null) lets each
-  // executor's scratch state views read retained roots O(1) through pinned
-  // snapshot handles; workers never write to it.
+  // `workers` >= 1 modeled lanes; `physical_threads` is the LanePool
+  // override (0 = capped at hardware concurrency). With one physical thread
+  // RunBatch executes jobs inline in submission order — the original
+  // single-threaded pipeline's exact operation order (job costs use the same
+  // modeled CPU + deferred-latency accounting as the threaded path).
+  // `versioned` (may be null) lets each executor's scratch state views read
+  // retained roots O(1) through pinned snapshot handles; jobs never write it.
   SpecPool(Mpt* trie, const Speculator::Options& options, size_t workers,
            size_t physical_threads = 0, VersionedState* versioned = nullptr);
-  ~SpecPool();
-  SpecPool(const SpecPool&) = delete;
-  SpecPool& operator=(const SpecPool&) = delete;
 
-  size_t workers() const { return workers_; }
-  size_t physical_threads() const { return physical_; }
+  size_t workers() const { return pool_.lanes(); }
+  size_t physical_threads() const { return pool_.physical_threads(); }
 
   // Executes the batch, blocking until every job finished. Results come back
   // in job order; lane attribution (round-robin by job index) and hence all
   // per-lane accounting is deterministic for a given worker count.
   std::vector<SpecJobResult> RunBatch(std::vector<SpecJob> jobs);
 
-  // Modeled wall time of the last batch: max over lanes of the job costs
-  // assigned to them (== the serial sum when workers == 1).
+  // Modeled wall time of the last batch: LaneWall over the job costs
+  // (== the serial sum when workers == 1).
   double last_batch_wall_seconds() const { return last_batch_wall_seconds_; }
 
   // Cumulative per-lane accounting across all batches.
   const std::vector<SpecWorkerStats>& worker_stats() const { return worker_stats_; }
 
  private:
-  void WorkerLoop(size_t thread_index);
   // Executes one job into its result slot, measuring modeled cost and store
-  // traffic. Called without the pool lock: the caller obtained `job`/`result`
-  // from the batch vectors while holding it (executors) or owns them outright
-  // (the inline path), and slot disjointness does the rest.
-  void ExecuteJob(Speculator* speculator, SpecJob& job, SpecJobResult& result, size_t job_index);
+  // traffic. Slot disjointness (the pool's static stripe) is the only
+  // exclusion it needs.
+  void ExecuteJob(const Speculator& speculator, SpecJob& job, SpecJobResult& result,
+                  size_t job_index);
 
-  Mpt* trie_;
-  Speculator::Options options_;
-  VersionedState* versioned_;
-  size_t workers_;   // modeled lanes
-  size_t physical_;  // executor threads actually running jobs
-
-  std::vector<std::thread> threads_;
-  // Batch handoff state, all guarded by the batch mutex. Retirement (the
-  // jobs_/results_ = nullptr writes at the end of RunBatch) must also happen
-  // under it: an empty-stripe executor can wake from the batch-start notify
-  // arbitrarily late, and its wait predicate reads these pointers under the
-  // lock — the unguarded clear that used to race here (PR 1's
-  // batch-retirement UAF) is now a clang -Wthread-safety build break.
-  Mutex mutex_;
-  CondVar work_cv_;  // workers: a batch (or shutdown) is ready
-  CondVar done_cv_;  // coordinator: the batch drained
-  bool shutdown_ FRN_GUARDED_BY(mutex_) = false;
-  std::vector<SpecJob>* jobs_ FRN_GUARDED_BY(mutex_) = nullptr;
-  std::vector<SpecJobResult>* results_ FRN_GUARDED_BY(mutex_) = nullptr;
-  size_t batch_seq_ FRN_GUARDED_BY(mutex_) = 0;  // bumped per batch; wakes the workers
-  size_t done_jobs_ FRN_GUARDED_BY(mutex_) = 0;
+  LanePool pool_;
+  // One per physical pool thread: no mutable state is shared between
+  // executors, only the (reader-safe) trie/store underneath.
+  std::vector<Speculator> speculators_;
 
   // Coordinator-only (written between batches, no executor ever touches them).
   double last_batch_wall_seconds_ = 0;

@@ -5,11 +5,11 @@
 #include <optional>
 
 #include "src/common/clock.h"
+#include "src/common/lane_pool.h"
 
 #include "src/crypto/keccak.h"
 #include "src/obs/registry.h"
 #include "src/rlp/rlp.h"
-#include "src/state/commit_pool.h"
 #include "src/state/versioned_state.h"
 
 namespace frn {
@@ -153,12 +153,13 @@ Hash RootFuture::Wait() const {
 }
 
 StateDb::StateDb(Mpt* trie, const Hash& root, SharedStateCache* shared_cache,
-                 VersionedState* versioned, CommitPool* commit_pool)
+                 VersionedState* versioned, LanePool* fold_pool, AsyncLane* root_lane)
     : trie_(trie),
       root_(root),
       shared_cache_(shared_cache),
       versioned_(versioned),
-      commit_pool_(commit_pool) {
+      fold_pool_(fold_pool),
+      root_lane_(root_lane) {
   if (versioned_ != nullptr) {
     view_ = versioned_->AcquireAt(root_);
   }
@@ -556,7 +557,7 @@ void StateDb::ApplyWriteSet(const TxWriteSet& ws, const Address& fee_account) {
 // Job pointers target this StateDb's account/storage caches (stable across
 // unordered_map inserts); the contract that the StateDb is untouched between
 // CommitAsync() and the future's Wait() is what keeps them valid while
-// FinishCommit runs on the commit pool's async thread.
+// FinishCommit runs on the root lane's thread.
 struct StateDb::CommitPlan {
   struct StorageJob {
     StorageCache* cache = nullptr;
@@ -611,12 +612,12 @@ Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
   // a just-written hot node on the serial path) and batch-applied below.
   //
   // Per-job cost is modeled as thread-CPU plus store latency, the same
-  // scheduler-independent accounting the speculation pool uses: on executor
+  // scheduler-independent accounting the speculation pool uses: on pool
   // threads cold-read latency is deferred into the job's sink (and the
   // coordinator settles the slowest lane's total for real below), while the
   // inline path spins as before — a spin is thread CPU, so both modes measure
   // the same quantity.
-  const size_t lanes = commit_pool_ != nullptr ? commit_pool_->workers() : 1;
+  const size_t lanes = fold_pool_ != nullptr ? fold_pool_->lanes() : 1;
   const bool defer_io = lanes > 1 && jobs.size() > 1;
   std::vector<double> job_cost(jobs.size(), 0.0);
   std::vector<double> job_io(jobs.size(), 0.0);
@@ -649,31 +650,27 @@ Hash StateDb::FinishCommit(CommitPlan& plan, SnapshotHandle pending) {
     job_io[i] = io.deferred_latency_seconds;
     job_cost[i] = (ThreadCpuSeconds() - cpu_start) + io.deferred_latency_seconds;
   };
-  if (commit_pool_ != nullptr) {
-    commit_pool_->Run(jobs.size(), fold);
+  if (fold_pool_ != nullptr) {
+    fold_pool_->Run(jobs.size(), [&](size_t i, size_t) { fold(i); });
   } else {
     for (size_t i = 0; i < jobs.size(); ++i) {
       fold(i);
     }
   }
 
-  // Lane accounting mirrors CommitPool's static stripe (job i runs on worker
-  // i % lanes), so the modeled wall is the cost of the slowest stripe. The
-  // coordinator pays the slowest stripe's deferred store latency physically:
-  // the critical path saves only the cross-lane overlap, never the I/O itself.
+  // The modeled wall is the LaneWall of the job costs (job i on lane
+  // i % lanes). The coordinator pays the slowest lane's deferred store
+  // latency physically: the critical path saves only the cross-lane overlap,
+  // never the I/O itself.
   if (!jobs.empty()) {
     double fold_serial = 0;
     double fold_io = 0;
-    std::vector<double> lane_cost(lanes, 0.0);
-    std::vector<double> lane_io(lanes, 0.0);
     for (size_t i = 0; i < jobs.size(); ++i) {
       fold_serial += job_cost[i];
       fold_io += job_io[i];
-      lane_cost[i % lanes] += job_cost[i];
-      lane_io[i % lanes] += job_io[i];
     }
-    double fold_wall = *std::max_element(lane_cost.begin(), lane_cost.end());
-    double settle_io = *std::max_element(lane_io.begin(), lane_io.end());
+    double fold_wall = LaneWall(job_cost, lanes);
+    double settle_io = LaneWall(job_io, lanes);
     if (defer_io && settle_io > 0) {
       SpinFor(std::chrono::nanoseconds(static_cast<int64_t>(settle_io * 1e9)));
     }
@@ -764,7 +761,7 @@ Hash StateDb::Commit() {
 }
 
 RootFuture StateDb::CommitAsync() {
-  if (commit_pool_ == nullptr || versioned_ == nullptr || !view_.valid()) {
+  if (root_lane_ == nullptr || versioned_ == nullptr || !view_.valid()) {
     // Without a background thread and a pinned view there is nothing to take
     // off the critical path — fall through to the synchronous pipeline.
     return RootFuture::Ready(Commit());
@@ -773,13 +770,13 @@ RootFuture StateDb::CommitAsync() {
       MetricsRegistry::Global().GetCounter("commit.async_dispatches");
   // Capture the dirty set on the critical path (no store traffic), open the
   // unsealed child version, and hand the folds + root authentication to the
-  // commit pool's async thread. The unsealed version is invisible to readers
+  // root lane's thread. The unsealed version is invisible to readers
   // until Seal; the caller must not touch this StateDb until Wait() returns.
   auto plan = std::make_shared<CommitPlan>(PrepareCommit());
   SnapshotHandle pending = versioned_->BeginCommit(view_);
   RootFuture future = RootFuture::Pending();
   dispatches->Add();
-  commit_pool_->SubmitAsync([this, plan, pending, future]() mutable {
+  root_lane_->Submit([this, plan, pending, future]() mutable {
     future.Set(FinishCommit(*plan, std::move(pending)));
   });
   return future;

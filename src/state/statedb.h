@@ -115,20 +115,21 @@ struct StateDbStats {
 
 // Modeled cost accounting for the two-phase commit pipeline, accumulated per
 // StateDb instance across its Commit() calls. Job costs are thread-CPU plus
-// deferred store latency (the ThreadCpuSeconds idiom the speculation pool
-// uses), so the serial/wall split holds on any host regardless of how many
-// physical cores back the commit workers.
+// deferred store latency, and the wall is the LaneWall of those costs (the
+// cost model of src/common/lane_pool.h), so the serial/wall split holds on
+// any host regardless of how many physical cores back the commit workers.
 struct CommitStats {
   uint64_t commits = 0;
   uint64_t fold_jobs = 0;           // storage-subtrie fold jobs dispatched
   double fold_serial_seconds = 0;   // sum of per-job modeled cost
-  double fold_wall_seconds = 0;     // max over modeled lanes per commit, summed
+  double fold_wall_seconds = 0;     // LaneWall per commit, summed
   double fold_io_seconds = 0;       // store latency deferred inside the folds
 };
 
 struct StateVersion;
 class VersionedState;
-class CommitPool;
+class LanePool;
+class AsyncLane;
 
 // Release-notification rendezvous between SnapshotHandle and the
 // VersionedState that issued it: the store owns one hook for its whole
@@ -250,15 +251,18 @@ class RootFuture {
 // class and is only reachable from layers above state in the include DAG.
 class StateDb : public WorldState {
  public:
-  // Opens the world state at `root`. `shared_cache`, `versioned` and
-  // `commit_pool` may each be null. When `versioned` retains a sealed version
+  // Opens the world state at `root`. `shared_cache`, `versioned`,
+  // `fold_pool` and `root_lane` may each be null. When `versioned` retains a sealed version
   // for `root`, the constructor pins it and account/committed-slot reads are
   // answered O(1) through the handle (authoritatively: a miss under a valid
   // handle means definitive absence) — the trie is never walked; Commit seals
-  // the block's delta as a new version. `commit_pool` parallelizes Commit's
-  // independent storage-subtrie folds; roots are bit-identical either way.
+  // the block's delta as a new version. `fold_pool` parallelizes Commit's
+  // independent storage-subtrie folds (its lanes are the commit workers);
+  // roots are bit-identical either way. `root_lane` runs CommitAsync's folds
+  // off the critical path.
   StateDb(Mpt* trie, const Hash& root, SharedStateCache* shared_cache = nullptr,
-          VersionedState* versioned = nullptr, CommitPool* commit_pool = nullptr);
+          VersionedState* versioned = nullptr, LanePool* fold_pool = nullptr,
+          AsyncLane* root_lane = nullptr);
 
   // ---- Account access (WorldState) ----
   bool Exists(const Address& addr) override;
@@ -316,11 +320,11 @@ class StateDb : public WorldState {
 
   // Asynchronous variant for the chain.root_async pipeline: collects the
   // block's dirty set on the calling thread (cheap — no store traffic), hands
-  // the trie folds + root authentication to the commit pool's background
+  // the trie folds + root authentication to the root lane's background
   // thread, and returns a future the caller awaits at block-seal time. The
   // StateDb must not be touched between CommitAsync() and Wait() on the
   // returned future. Falls back to a ready future around synchronous Commit()
-  // when no commit pool or versioned store is attached or the current view is
+  // when no root lane or versioned store is attached or the current view is
   // not covered (the trie reads inside the folds would then race nothing but
   // would not be O(1) off the critical path either).
   RootFuture CommitAsync();
@@ -361,8 +365,8 @@ class StateDb : public WorldState {
 
   // Commit split: PrepareCommit snapshots the dirty accounts/slots on the
   // calling thread; FinishCommit runs the trie folds, seals the new version,
-  // and publishes the root (synchronously inline, or on the commit pool's
-  // async thread under chain.root_async).
+  // and publishes the root (synchronously inline, or on the root lane's
+  // thread under chain.root_async).
   CommitPlan PrepareCommit();
   Hash FinishCommit(CommitPlan& plan, SnapshotHandle pending);
 
@@ -370,7 +374,8 @@ class StateDb : public WorldState {
   Hash root_;
   SharedStateCache* shared_cache_;
   VersionedState* versioned_;
-  CommitPool* commit_pool_;
+  LanePool* fold_pool_;
+  AsyncLane* root_lane_;
   StateOverlay* overlay_ = nullptr;
   SnapshotHandle view_;
 

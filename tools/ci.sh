@@ -13,10 +13,10 @@
 #                   [skipped when clang-format is not installed]
 #   tier1           default build + full ctest suite (build/)
 #   reorg-gate      bench_reorg_stress determinism/consistency gate
-#   flat-gate       bench_flat_state equivalence gate (versioned store vs
-#                   trie-only, no-fork invalidation gate)
-#   versioned-gate  bench_versioned_state gates: handle-acquire cost, async
-#                   commit critical-path reduction, reorg-depth sweep
+#   versioned-gate  bench_versioned_state gates: versioned store vs
+#                   trie-only equivalence, no-fork invalidation gate,
+#                   handle-acquire cost, async commit critical-path
+#                   reduction, modeled fold speedup, reorg-depth sweep
 #   block-stm-gate  bench_block_stm gates: bit-identical roots at 1/2/4
 #                   block workers under low- and high-conflict traffic,
 #                   deterministic conflict counts, >= 2x modeled speedup
@@ -170,10 +170,6 @@ stage_reorg_gate() {
   "${repo_root}/build/bench/bench_reorg_stress" --json "${repo_root}/build/BENCH_reorg_stress.json"
 }
 
-stage_flat_gate() {
-  "${repo_root}/build/bench/bench_flat_state" --json "${repo_root}/build/BENCH_flat_state.json"
-}
-
 stage_versioned_gate() {
   "${repo_root}/build/bench/bench_versioned_state" --json "${repo_root}/build/BENCH_versioned_state.json"
 }
@@ -255,7 +251,6 @@ fi
 
 run_stage tier1 stage_tier1
 run_stage reorg-gate stage_reorg_gate
-run_stage flat-gate stage_flat_gate
 run_stage versioned-gate stage_versioned_gate
 run_stage block-stm-gate stage_block_stm_gate
 run_stage persist-smoke stage_persist_smoke

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Builds the repo with ThreadSanitizer (-DFRN_SANITIZE=thread) into build-tsan/
 # and runs the concurrency-sensitive tests: the SharedStateCache / KvStore
-# stress test, the parallel speculation engine determinism test, the full
+# stress test, the shared lane pool (batch handoff, empty-stripe retirement,
+# async lane), the parallel speculation engine determinism test, the full
 # forerunner node test, the node-subsystem tests (mempool admission and the
 # chain manager's multi-depth reorgs around the worker pool), the versioned
 # snapshot store (readers pinning handles through commit/fork churn, the
-# parallel commit pool, the async-root seal handshake), the optimistic
+# parallel commit folds, the async-root seal handshake), the optimistic
 # parallel block executor (worker threads publishing attempts through the
 # round barrier while snapshot readers pin and read concurrently), the
 # persistence log's locked append path,
@@ -38,7 +39,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${repo_root}/build-tsan"
 
 cmake -S "${repo_root}" -B "${build_dir}" -DFRN_SANITIZE=thread >/dev/null
-tsan_tests=(concurrency_stress_test spec_pool_test forerunner_test
+tsan_tests=(concurrency_stress_test lane_pool_test spec_pool_test forerunner_test
             mempool_test chain_manager_test
             versioned_state_test block_stm_test persist_test prefetcher_test
             obs_registry_test trace_format_test lockdep_test)
